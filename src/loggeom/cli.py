@@ -220,7 +220,7 @@ def run_fixture_file(path: str) -> list[tuple[str, bool, str]]:
         try:
             report = run_command(run["command"], ws, run["target"],
                                  run.get("options", {}))
-            ok = report == run["report"]
+            ok = dump_report(report) == dump_report(run["report"])
             detail = "" if ok else "report mismatch"
         except Exception as exc:  # noqa: BLE001 - report, do not crash the batch
             ok = False

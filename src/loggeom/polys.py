@@ -7,12 +7,25 @@ engine runs Buchberger with full reduction and produces the reduced
 basis; over the integers it computes a strong Groebner basis (S- and
 G-polynomials, D-reduction), which makes membership of ideals over Z
 decidable and supports elimination with a lex order.
+
+Determinism contract (reports are byte-identical because of it; a change
+to pair selection or reduction must re-pin it deliberately):
+- S-/G-pairs are taken in increasing (order key of lcm, kind, i, j)
+  order, kind "g" before "s", with i > j indexing the basis; the only
+  pairs skipped are S-pairs with coprime leading monomials over fields
+  and G-pairs whose leading coefficients divide one another;
+- over fields the first basis element whose leading monomial divides the
+  current term is the reductor;
+- over Z an element whose leading coefficient divides the current one
+  exactly comes first, else the smallest |lc| (lowest index on ties).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import gcd
+import operator
 
 
 Exp = tuple[int, ...]
@@ -40,6 +53,37 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     if g < 0:
         x, y, g = -x, -y, -g
     return g, x, y
+
+
+# Miller-Rabin with these bases is exact below the limit (Sorenson and
+# Webster 2015, psi_13).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; raises ValueError when n >= _MR_LIMIT passes."""
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    if n >= _MR_LIMIT:
+        raise ValueError(f"cannot certify that {n} is prime (Miller-Rabin is "
+                         f"deterministic only below {_MR_LIMIT})")
+    return True
 
 
 class Rationals:
@@ -95,7 +139,7 @@ class PrimeField:
     name = "fp"
 
     def __init__(self, p: int):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
+        if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.char = p
@@ -208,7 +252,7 @@ class MonomialOrder:
     def key(self, exp: Exp):
         if self.name == "lex":
             return exp
-        return (sum(exp), tuple(-e for e in reversed(exp)))
+        return (sum(exp), *[-e for e in reversed(exp)])
 
     def __eq__(self, other):
         return isinstance(other, MonomialOrder) and other.name == self.name
@@ -265,19 +309,19 @@ def poly_scale(f: Poly, c, dom) -> Poly:
 
 
 def exp_add(a: Exp, b: Exp) -> Exp:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def exp_sub(a: Exp, b: Exp) -> Exp:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def exp_divides(a: Exp, b: Exp) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
 
 
 def exp_lcm(a: Exp, b: Exp) -> Exp:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def poly_term_mul(f: Poly, exp: Exp, c, dom) -> Poly:
@@ -352,118 +396,142 @@ def freeze_poly(f: Poly) -> tuple:
 # ---------------------------------------------------------------------------
 # reduction
 
-def _sorted_monomials(f: Poly, order: MonomialOrder):
-    return sorted(f, key=order.key, reverse=True)
-
-
-def nf(f: Poly, basis: list[Poly], order: MonomialOrder, dom) -> Poly:
-    r, _ = nf_with_cofactors(f, basis, order, dom, track=False)
+def nf(f: Poly, basis: list[Poly], order: MonomialOrder, dom, lts=None) -> Poly:
+    r, _ = nf_with_cofactors(f, basis, order, dom, track=False, lts=lts)
     return r
 
 
 def nf_with_cofactors(f: Poly, basis: list[Poly], order: MonomialOrder, dom,
-                      track: bool = True):
+                      track: bool = True, lts=None):
     """Normal form of f against basis; optionally the reduction cofactors.
 
     Returns (r, cof) with f = sum(cof[i] * basis[i]) + r.  Over a field no
     monomial of r is divisible by a basis leading monomial; over Z the
     D-reduction leaves remainders smaller than the applicable leading
     coefficients, and r == 0 iff f lies in the ideal whenever the basis
-    is a strong Groebner basis.
+    is a strong Groebner basis.  lts, when given, holds the leading term
+    (exponent, coefficient) of each basis element.
     """
-    lts = [leading_term(g, order) for g in basis]
+    if lts is None:
+        lts = [leading_term(g, order) for g in basis]
     cof = [poly_zero() for _ in basis] if track else None
     work = dict(f)
+    keys = {e: order.key(e) for e in work}  # of every term seen in this call
     result: Poly = {}
     while work:
-        m = max(work, key=order.key)
+        m = max(work, key=keys.__getitem__)
         c = work.pop(m)
-        applicable = [i for i, (le, _) in enumerate(lts) if exp_divides(le, m)]
-        if not applicable:
+        i = _reductor(m, c, lts, dom)
+        if i is None:
             result[m] = c
             continue
-        if dom.is_field:
-            i = applicable[0]
-            le, lc = lts[i]
-            q = dom.div(c, lc)
-            shift = exp_sub(m, le)
-            tail = dict(basis[i])
-            del tail[le]
-            work = poly_sub(work, poly_term_mul(tail, shift, q, dom), dom)
-            if track:
-                cof[i] = poly_add(cof[i], {shift: q}, dom)
-            continue
-        # integer D-reduction
-        exact = None
-        for i in applicable:
-            if c % lts[i][1] == 0:
-                exact = i
-                break
-        if exact is not None:
-            i = exact
-            le, lc = lts[i]
-            q = c // lc
-            shift = exp_sub(m, le)
-            tail = dict(basis[i])
-            del tail[le]
-            work = poly_sub(work, poly_term_mul(tail, shift, q, dom), dom)
-            if track:
-                cof[i] = poly_add(cof[i], {shift: q}, dom)
-            continue
-        i = min(applicable, key=lambda k: (abs(lts[k][1]), k))
         le, lc = lts[i]
-        q = c // lc  # floor: remainder has the sign of lc
-        r = c - q * lc
-        if q == 0:
-            result[m] = c
-            continue
-        shift = exp_sub(m, le)
-        tail = dict(basis[i])
-        del tail[le]
-        work = poly_sub(work, poly_term_mul(tail, shift, q, dom), dom)
-        if track:
-            cof[i] = poly_add(cof[i], {shift: q}, dom)
+        if dom.is_field:
+            q, r = dom.div(c, lc), None
+        else:
+            q = c // lc  # floor: remainder has the sign of lc
+            r = c - q * lc
+        if not dom.is_zero(q):
+            shift = exp_sub(m, le)
+            _sub_multiple(work, keys, basis[i], le, shift, q, dom, order)
+            if track:  # terms leave work in decreasing order, so shift is new here
+                cof[i][shift] = q
         if r:
             result[m] = r
     return result, cof
 
 
-def spoly(f: Poly, g: Poly, order: MonomialOrder, dom) -> Poly:
-    (ef, cf) = leading_term(f, order)
-    (eg, cg) = leading_term(g, order)
-    el = exp_lcm(ef, eg)
+def _reductor(m: Exp, c, lts, dom):
+    """Index of the basis element that reduces c*x^m (the contract above)."""
     if dom.is_field:
-        a = dom.div(dom.one(), cf)
-        b = dom.div(dom.one(), cg)
+        return next((i for i, (e, _) in enumerate(lts) if all(map(operator.le, e, m))),
+                    None)
+    applicable = [i for i, (e, _) in enumerate(lts) if all(map(operator.le, e, m))]
+    if not applicable:
+        return None
+    exact = next((i for i in applicable if c % lts[i][1] == 0), None)
+    if exact is not None:
+        return exact
+    return min(applicable, key=lambda k: (abs(lts[k][1]), k))
+
+
+def _sub_multiple(work: Poly, keys: dict, g: Poly, le: Exp, shift: Exp, q, dom,
+                  order: MonomialOrder) -> None:
+    """work -= q * x^shift * (g - its leading term), in place; keys gets new terms.
+
+    Terms are updated, dropped and appended in the order poly_sub would
+    produce them, so the dict order matches a copying subtraction.
+    """
+    zero, sub, mul, is_zero = dom.zero(), dom.sub, dom.mul, dom.is_zero
+    for e, v in g.items():
+        if e != le:
+            t = tuple(map(operator.add, e, shift))
+            s = sub(work.get(t, zero), mul(v, q))
+            if is_zero(s):
+                work.pop(t, None)
+            else:
+                work[t] = s
+                if t not in keys:
+                    keys[t] = order.key(t)
+
+
+def _pair_terms(lt_f, lt_g, dom, kind: str):
+    """(shift_f, a, shift_g, b): the pair polynomial is a*x^shift_f*f + b*x^shift_g*g.
+
+    kind "s" cancels the leading terms at their lcm; kind "g" (over Z)
+    combines them to gcd(lc_f, lc_g) at the lcm.
+    """
+    (ef, cf), (eg, cg) = lt_f, lt_g
+    el = exp_lcm(ef, eg)
+    if kind == "g":
+        _, a, b = xgcd(cf, cg)
+    elif dom.is_field:
+        a, b = dom.div(dom.one(), cf), dom.neg(dom.div(dom.one(), cg))
     else:
         l = cf // gcd(cf, cg) * cg
-        a = l // cf
-        b = l // cg
-    return poly_sub(poly_term_mul(f, exp_sub(el, ef), a, dom),
-                    poly_term_mul(g, exp_sub(el, eg), b, dom), dom)
+        a, b = l // cf, -(l // cg)
+    return exp_sub(el, ef), a, exp_sub(el, eg), b
 
 
-def gpoly(f: Poly, g: Poly, order: MonomialOrder) -> Poly | None:
+def _combine(f: Poly, g: Poly, terms, dom) -> Poly:
+    sa, a, sb, b = terms
+    return poly_add(poly_term_mul(f, sa, a, dom), poly_term_mul(g, sb, b, dom), dom)
+
+
+def spoly(f: Poly, g: Poly, order: MonomialOrder, dom, lt_f=None, lt_g=None) -> Poly:
+    terms = _pair_terms(lt_f or leading_term(f, order), lt_g or leading_term(g, order),
+                        dom, "s")
+    return _combine(f, g, terms, dom)
+
+
+def gpoly(f: Poly, g: Poly, order: MonomialOrder, lt_f=None, lt_g=None) -> Poly | None:
     """G-polynomial over Z; None when one leading coefficient divides the other."""
-    (ef, cf) = leading_term(f, order)
-    (eg, cg) = leading_term(g, order)
-    if cf % cg == 0 or cg % cf == 0:
+    lt_f, lt_g = lt_f or leading_term(f, order), lt_g or leading_term(g, order)
+    if lt_f[1] % lt_g[1] == 0 or lt_g[1] % lt_f[1] == 0:
         return None
-    el = exp_lcm(ef, eg)
-    _, s, t = xgcd(cf, cg)
-    return poly_add(poly_term_mul(f, exp_sub(el, ef), s, ZZ),
-                    poly_term_mul(g, exp_sub(el, eg), t, ZZ), ZZ)
+    return _combine(f, g, _pair_terms(lt_f, lt_g, ZZ, "g"), ZZ)
 
 
-def _normalize_gen(f: Poly, order: MonomialOrder, dom) -> Poly:
-    if not f:
-        return f
+def _normalize_gen(f: Poly, order: MonomialOrder, dom):
+    """(f scaled to leading coefficient 1 over a field, > 0 over Z; the scale)."""
     _, c = leading_term(f, order)
     if dom.is_field:
-        return poly_scale(f, dom.div(dom.one(), c), dom)
+        scale = dom.div(dom.one(), c)
+        return poly_scale(f, scale, dom), scale
     if c < 0:
-        return poly_neg(f, dom)
-    return f
+        return poly_neg(f, dom), dom.from_int(-1)
+    return f, dom.one()
+
+
+def _lift(start: list[Poly], red: list[Poly], rows: list[list[Poly]], dom) -> list[Poly]:
+    """start - sum(red[b] * rows[b]), entrywise: cofactors over the inputs."""
+    total = list(start)
+    for rb, row in zip(red, rows):
+        if rb:
+            for t, c in enumerate(row):
+                if c:
+                    total[t] = poly_sub(total[t], poly_mul(rb, c, dom), dom)
+    return total
 
 
 def groebner(gens: list[Poly], order: MonomialOrder, dom) -> list[Poly]:
@@ -478,148 +546,79 @@ def groebner_with_cofactors(gens: list[Poly], order: MonomialOrder, dom,
 
     Returns (basis, cof) with basis[k] = sum(cof[k][i] * gens[i]).
     """
-    n = len(gens)
     basis: list[Poly] = []
+    lts: list = []  # leading term of each basis element, fixed when it joins
     cofs: list[list[Poly]] = []
-    for i, g in enumerate(gens):
-        if not g:
-            continue
-        gn = _normalize_gen(g, order, dom)
-        nvars = len(next(iter(g)))
-        basis.append(gn)
-        if track:
-            scale = _norm_scale(g, gn, order, dom)
-            cofs.append([poly_const(scale, dom, nvars) if j == i else poly_zero()
-                         for j in range(n)])
-    pairs = [(i, j, "s") for i in range(len(basis)) for j in range(i)]
-    if not dom.is_field:
-        pairs += [(i, j, "g") for i in range(len(basis)) for j in range(i)]
-    pairs.sort(key=_pair_sort_key(basis, order))
-    while pairs:
-        i, j, kind = pairs.pop(0)
-        f, g = basis[i], basis[j]
-        if kind == "s":
-            if dom.is_field and _coprime_lm(f, g, order):
-                continue
-            h = spoly(f, g, order, dom)
-            hc = _combine_cof(cofs, i, j, f, g, order, dom, "s") if track else None
-        else:
-            h = gpoly(f, g, order)
-            if h is None:
-                continue
-            hc = _combine_cof(cofs, i, j, f, g, order, dom, "g") if track else None
-        r, red = nf_with_cofactors(h, basis, order, dom, track=track)
-        if not r:
-            continue
-        rn = _normalize_gen(r, order, dom)
-        if track:
-            total = [poly_zero() for _ in range(n)]
-            for t in range(n):
-                total[t] = hc[t]
-                for b in range(len(basis)):
-                    total[t] = poly_sub(total[t], poly_mul(red[b], cofs[b][t], dom), dom)
-            scale = _norm_scale(r, rn, order, dom)
-            total = [poly_scale(t, scale, dom) for t in total]
-            cofs.append(total)
+    pairs: list = []  # heap of (order key of lcm, kind, i, j) with i > j
+    lcm_keys: dict = {}  # the heap holds O(len(basis)^2) keys, many of them equal
+
+    def join(g, row):
+        gn, scale = _normalize_gen(g, order, dom)
         k = len(basis)
-        basis.append(rn)
-        newpairs = [(k, j2, "s") for j2 in range(k)]
-        if not dom.is_field:
-            newpairs += [(k, j2, "g") for j2 in range(k)]
-        pairs.extend(newpairs)
-        pairs.sort(key=_pair_sort_key(basis, order))
-    return _autoreduce(basis, cofs if track else None, order, dom, track)
+        basis.append(gn)
+        lts.append(leading_term(gn, order))
+        if track:
+            cofs.append([poly_scale(t, scale, dom) for t in row])
+        ek, ck = lts[k]
+        for j, (ej, cj) in enumerate(lts[:k]):
+            if dom.is_field and not any(map(min, ek, ej)):
+                continue  # coprime leading monomials: the S-pair reduces to 0
+            key = order.key(exp_lcm(ek, ej))
+            key = lcm_keys.setdefault(key, key)  # one tuple per distinct lcm
+            heappush(pairs, (key, "s", k, j))
+            if not dom.is_field and ck % cj and cj % ck:  # else gpoly is None
+                heappush(pairs, (key, "g", k, j))
 
-
-def _norm_scale(g, gn, order, dom):
-    _, c = leading_term(g, order)
-    if dom.is_field:
-        return dom.div(dom.one(), c)
-    return dom.from_int(-1) if c < 0 else dom.one()
-
-
-def _coprime_lm(f, g, order):
-    ef, _ = leading_term(f, order)
-    eg, _ = leading_term(g, order)
-    return all(a == 0 or b == 0 for a, b in zip(ef, eg))
-
-
-def _pair_sort_key(basis, order):
-    def key(pair):
-        i, j, kind = pair
-        el = exp_lcm(leading_term(basis[i], order)[0], leading_term(basis[j], order)[0])
-        return (order.key(el), kind, i, j)
-    return key
-
-
-def _combine_cof(cofs, i, j, f, g, order, dom, kind):
-    (ef, cf) = leading_term(f, order)
-    (eg, cg) = leading_term(g, order)
-    el = exp_lcm(ef, eg)
-    if kind == "s":
-        if dom.is_field:
-            a, b = dom.div(dom.one(), cf), dom.neg(dom.div(dom.one(), cg))
+    for i, g in enumerate(gens):
+        if g:
+            one = poly_const(dom.one(), dom, len(next(iter(g))))
+            join(g, [one if j == i else poly_zero() for j in range(len(gens))])
+    while pairs:
+        _, kind, i, j = heappop(pairs)
+        if kind == "s":
+            h = spoly(basis[i], basis[j], order, dom, lts[i], lts[j])
         else:
-            l = cf // gcd(cf, cg) * cg
-            a, b = l // cf, -(l // cg)
-    else:
-        _, s, t = xgcd(cf, cg)
-        a, b = s, t
-    sa, sb = exp_sub(el, ef), exp_sub(el, eg)
-    n = len(cofs[0])
-    out = []
-    for t_ in range(n):
-        term = poly_add(poly_term_mul(cofs[i][t_], sa, a, dom),
-                        poly_term_mul(cofs[j][t_], sb, b, dom), dom)
-        out.append(term)
-    return out
+            h = gpoly(basis[i], basis[j], order, lts[i], lts[j])
+        r, red = nf_with_cofactors(h, basis, order, dom, track=track, lts=lts)
+        if r:
+            row = None
+            if track:
+                terms = _pair_terms(lts[i], lts[j], dom, kind)
+                row = _lift([_combine(a, b, terms, dom) for a, b in zip(cofs[i], cofs[j])],
+                            red, cofs, dom)
+            join(r, row)
+    return _autoreduce(basis, cofs if track else None, order, dom, track, lts)
 
 
-def _autoreduce(basis, cofs, order, dom, track):
+def _autoreduce(basis, cofs, order, dom, track, lts):
     # minimalize: walk by increasing leading term, keep an element only if
     # no already-kept leading term (D-)divides its own
     def lt_key(i):
-        le, lc = leading_term(basis[i], order)
+        le, lc = lts[i]
         return (order.key(le), abs(lc) if not dom.is_field else 0, freeze_poly(basis[i]))
 
     keep = []
     for i in sorted(range(len(basis)), key=lt_key):
-        le, lc = leading_term(basis[i], order)
-        covered = False
-        for j in keep:
-            lh, ch = leading_term(basis[j], order)
-            if exp_divides(lh, le) and (dom.is_field or lc % ch == 0):
-                covered = True
-                break
-        if not covered:
+        le, lc = lts[i]
+        if not any(exp_divides(lts[j][0], le) and (dom.is_field or lc % lts[j][1] == 0)
+                   for j in keep):
             keep.append(i)
     keep.sort()
-    basis2 = [basis[i] for i in keep]
-    cofs2 = [cofs[i] for i in keep] if track else None
     out = []
-    outc = []
-    for i, g in enumerate(basis2):
-        others = [basis2[j] for j in range(len(basis2)) if j != i]
+    for i in keep:
+        others = [j for j in keep if j != i]
         if not others:
-            out.append(g)
-            if track:
-                outc.append(cofs2[i])
+            out.append((basis[i], cofs[i] if track else None))
             continue
-        r, red = nf_with_cofactors(g, others, order, dom, track=track)
+        r, red = nf_with_cofactors(basis[i], [basis[j] for j in others], order, dom,
+                                   track=track, lts=[lts[j] for j in others])
         if not r:
             continue
-        rn = _normalize_gen(r, order, dom)
+        rn, scale = _normalize_gen(r, order, dom)
+        row = None
         if track:
-            idxs = [j for j in range(len(basis2)) if j != i]
-            total = list(cofs2[i])
-            for b, jj in enumerate(idxs):
-                for t in range(len(total)):
-                    total[t] = poly_sub(total[t], poly_mul(red[b], cofs2[jj][t], dom), dom)
-            scale = _norm_scale(r, rn, order, dom)
-            outc.append([poly_scale(t, scale, dom) for t in total])
-        out.append(rn)
-    idx = sorted(range(len(out)), key=lambda i: order.key(leading_term(out[i], order)[0]))
-    out = [out[i] for i in idx]
-    if track:
-        outc = [outc[i] for i in idx]
-    return out, (outc if track else None)
+            row = [poly_scale(t, scale, dom)
+                   for t in _lift(cofs[i], red, [cofs[j] for j in others], dom)]
+        out.append((rn, row))
+    out.sort(key=lambda pair: order.key(leading_term(pair[0], order)[0]))
+    return [g for g, _ in out], ([row for _, row in out] if track else None)

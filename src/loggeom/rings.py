@@ -12,30 +12,67 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 
 from . import polys
 from .polys import (
     DEGREVLEX, LEX, MonomialOrder, Poly, QQ, ZZ, PrimeField,
     poly_add, poly_const, poly_derivative, poly_mul, poly_neg,
-    poly_scale, poly_sub, poly_substitute, poly_var, poly_zero, freeze_poly,
+    poly_scale, poly_sub, poly_substitute, poly_var, poly_zero, freeze_poly, is_prime,
 )
 
 
+_SMALL_PRIMES = tuple(p for p in range(2, 100) if all(p % q for q in range(2, p)))
+
+
+@lru_cache(maxsize=256)
 def prime_factors(n: int) -> tuple[int, ...]:
+    """Distinct prime factors of |n| in increasing order.
+
+    Trial division below 100, then Pollard's rho on the rest; a cofactor
+    is prime when it is below 101^2 (it has no factor below 100) or when
+    the deterministic Miller-Rabin test says so.
+    """
     n = abs(n)
     out = []
-    p = 2
-    while p * p <= n:
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
         if n % p == 0:
             out.append(p)
             while n % p == 0:
                 n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return tuple(out)
+    rest = [n] if n > 1 else []
+    while rest:
+        m = rest.pop()
+        if m < 101 * 101 or is_prime(m):
+            out.append(m)
+        else:
+            d = _rho_factor(m)
+            rest += [d, m // d]
+    return tuple(sorted(set(out)))
+
+
+_RHO_STEPS = 1 << 20  # finds prime factors up to about 10^12
+
+
+def _rho_factor(n: int) -> int:
+    """A proper factor of a composite n without prime factors below 100."""
+    x = y = 2
+    c = 1
+    for _ in range(_RHO_STEPS):
+        x = (x * x + c) % n
+        y = (y * y + c) % n
+        y = (y * y + c) % n
+        d = gcd(x - y, n)
+        if d == n:  # the cycle closed without a split: try another polynomial
+            x = y = 2
+            c += 1
+        elif d != 1:
+            return d
+    raise ValueError(f"no factor of {n} found in {_RHO_STEPS} Pollard rho steps")
 
 
 @dataclass(frozen=True)
@@ -50,8 +87,8 @@ class CoeffDomain:
             raise ValueError(f"unknown coefficient domain {self.kind!r}")
         if self.kind == "int_inv" and (self.param is None or self.param < 2):
             raise ValueError("int_inv requires n >= 2")
-        if self.kind == "fp":
-            PrimeField(self.param)  # validates primality
+        if self.kind == "fp":  # validates primality; mode() and carrier() share it
+            object.__setattr__(self, "_field", PrimeField(self.param))
 
     @property
     def is_field(self) -> bool:
@@ -66,13 +103,13 @@ class CoeffDomain:
         if self.kind == "rat":
             return QQ
         if self.kind == "fp":
-            return PrimeField(self.param)
+            return self._field
         return ZZ
 
     def carrier(self):
         """Arithmetic for ring-level coefficients (Z[1/n] uses Fractions)."""
         if self.kind == "fp":
-            return PrimeField(self.param)
+            return self._field
         if self.kind == "int":
             return ZZ
         return QQ
@@ -165,6 +202,14 @@ def _clear_denominators(f: Poly) -> tuple[Poly, int]:
 _GB_CACHE: dict = {}
 
 
+class WorkingBasis(list):
+    """A Groebner basis with the leading term of each element under its order."""
+
+    def __init__(self, basis: list[Poly], order: MonomialOrder):
+        super().__init__(basis)
+        self.lts = [polys.leading_term(g, order) for g in basis]
+
+
 @dataclass(frozen=True)
 class RingPresentation:
     coeff: CoeffDomain
@@ -233,7 +278,7 @@ class RingPresentation:
 
     # -- Groebner layer ------------------------------------------------------
 
-    def working_basis(self, order: MonomialOrder = DEGREVLEX) -> list[Poly]:
+    def working_basis(self, order: MonomialOrder = DEGREVLEX) -> WorkingBasis:
         """Groebner basis the ring computes against (saturated for Z[1/n])."""
         key = (self.coeff, self.vars, self.ideal, order.name)
         if key in _GB_CACHE:
@@ -246,7 +291,7 @@ class RingPresentation:
             mode = self.coeff.mode()
             gens = [{e: mode.normalize(c) for e, c in g.items()} for g in gens]
             basis = polys.groebner(gens, order, mode)
-        _GB_CACHE[key] = basis
+        basis = _GB_CACHE[key] = WorkingBasis(basis, order)
         return basis
 
     def nf(self, f: Poly, order: MonomialOrder = DEGREVLEX) -> Poly:
@@ -255,9 +300,9 @@ class RingPresentation:
         basis = self.working_basis(order)
         if self.coeff.kind == "int_inv":
             g, mult = _clear_denominators(f)
-            r = polys.nf(g, basis, order, ZZ)
+            r = polys.nf(g, basis, order, ZZ, lts=basis.lts)
             return {e: Fraction(c, mult) for e, c in r.items()}
-        return polys.nf(f, basis, order, self.coeff.mode())
+        return polys.nf(f, basis, order, self.coeff.mode(), lts=basis.lts)
 
     def is_zero_elem(self, f: Poly) -> bool:
         return not self.nf(f)
@@ -619,8 +664,7 @@ def kahler_differentials(target: RingPresentation, base_map: RingMap | None = No
 
 def monomial_basis(ring: RingPresentation, order: MonomialOrder = DEGREVLEX) -> list[tuple]:
     """Staircase monomials of a finite-dimensional presented algebra."""
-    basis = ring.working_basis(order)
-    lts = [polys.leading_term(g, order)[0] for g in basis]
+    lts = [le for le, _ in ring.working_basis(order).lts]
     if ring.coeff.kind not in ("fp", "rat"):
         raise ValueError("monomial basis requires field coefficients")
     caps = []

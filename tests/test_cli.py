@@ -2,8 +2,10 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -90,6 +92,33 @@ def test_corpus_fixtures_match():
     for fname in fixture_files:
         for label, ok, detail in run_fixture_file(os.path.join(CORPUS, fname)):
             assert ok, f"{label}: {detail}"
+
+
+def test_fixture_compare_is_byte_exact(tmp_path):
+    # a stored 1 equals a computed True as a dict value, but not as JSON text
+    with open(os.path.join(CORPUS, "root3.fixtures.json"), encoding="utf-8") as fh:
+        spec = json.load(fh)
+    run = next(r for r in spec["runs"] if r["command"] == "check-log-etale")
+    assert run["report"]["result"]["overall"] is True
+    run["report"]["result"]["overall"] = 1
+    spec["runs"] = [run]
+    shutil.copy(os.path.join(CORPUS, spec["file"]), tmp_path / spec["file"])
+    fixture = tmp_path / "root3.fixtures.json"
+    fixture.write_text(json.dumps(spec))
+    [(label, ok, detail)] = run_fixture_file(str(fixture))
+    assert not ok and detail == "report mismatch"
+
+
+def test_gp_with_large_inverted_integer_is_fast(tmp_path, capsys):
+    src = tmp_path / "big.lg"
+    src.write_text(
+        "monoid M { gens: a b; rels: ; }\n"
+        "ring R { coeff: int_inv(998244359987710471); vars: ; ideal: ; }\n"
+        "prelog X { ring: R; monoid: M; alpha: a -> 2, b -> 3; units: builtin; }\n")
+    start = time.perf_counter()
+    assert cli.main(["gp", f"{src}#M"]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert json.loads(capsys.readouterr().out)["result"] == {"rank": 2, "torsion": []}
 
 
 def _run_cli(args, cwd=None):

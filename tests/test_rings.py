@@ -5,12 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loggeom.polys import DEGREVLEX, LEX, QQ, groebner, nf
+from loggeom import rings
+from loggeom.polys import DEGREVLEX, LEX, QQ, groebner, is_prime, nf
 from loggeom.rings import (
     INT, RAT, ModulePresentation, RingMap, RingPresentation, coefficient_map,
     fitting_chain_equal, fitting_ideal, fp, groebner_basis, hom_count,
     ideal_equal, identity_ring_map, int_inv, is_unit, is_zero_module,
-    kahler_differentials, module_base_change, poly_str, tensor_over,
+    kahler_differentials, module_base_change, poly_str, prime_factors, tensor_over,
 )
 
 
@@ -200,3 +201,41 @@ def test_ideal_equal_in_quotients():
     assert not ideal_equal(a, [a.var("u")], [])
     zh = RingPresentation.make(int_inv(2), [], [])
     assert ideal_equal(zh, [zh.const(2)], [zh.one()])
+
+
+def test_prime_factors_match_trial_division():
+    primes = [p for p in range(2, 448) if all(p % q for q in range(2, p))]
+    for n in range(200000):
+        expected, m = [], n
+        for p in primes:
+            if p * p > m:
+                break
+            if m % p == 0:
+                expected.append(p)
+                while m % p == 0:
+                    m //= p
+        if m > 1:
+            expected.append(m)
+        assert prime_factors(n) == tuple(expected), n
+    assert prime_factors(-12) == (2, 3)
+
+
+def test_prime_factors_and_primality_of_large_numbers():
+    assert prime_factors(998244359987710471) == (998244353, 1000000007)
+    assert prime_factors(2 ** 64 + 1) == (274177, 67280421310721)
+    assert prime_factors(101 ** 3 * 103 ** 2) == (101, 103)
+    assert is_prime(2 ** 61 - 1) and is_prime(998244353)
+    # strong pseudoprimes to every base up to 7, 23 and 37 respectively
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+    fp(1000000007)
+    with pytest.raises(ValueError):
+        fp(561)  # a Carmichael number
+    with pytest.raises(ValueError):
+        is_prime(2 ** 89 - 1)  # prime, but past the deterministic range
+
+
+def test_prime_factors_raises_past_its_budget(monkeypatch):
+    monkeypatch.setattr(rings, "_RHO_STEPS", 100)
+    with pytest.raises(ValueError, match="Pollard rho"):
+        prime_factors(1000000000039 * 1000000000061)
