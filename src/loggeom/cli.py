@@ -23,7 +23,7 @@ from .logrings import logify
 from .monoids import (
     IncompleteComputation, Undetermined, group_completion, is_exact, repletion,
 )
-from .rings import ModulePresentation, fitting_ideal, poly_str
+from .rings import ModulePresentation, fitting_ideal, poly_str, prune
 
 
 SCHEMA = 1
@@ -60,9 +60,10 @@ def _module_payload(m: ModulePresentation) -> dict:
 
 
 def _fitting_payload(m: ModulePresentation, order) -> list:
+    pruned = prune(m)  # same Fitting ideals, fewer minors
     out = []
     for k in range(m.ngens + 1):
-        gens = fitting_ideal(m, k, order)
+        gens = fitting_ideal(pruned, k, order)
         out.append([poly_str(g, m.ring.vars) for g in gens])
     return out
 

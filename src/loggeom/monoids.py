@@ -85,10 +85,6 @@ class MonoidPresentation:
     def element(self, exponents) -> "MonoidElement":
         return MonoidElement(self, _as_vec(exponents, self.ngens))
 
-    def word_ring(self) -> RingPresentation:
-        """Binomial model Q[x_g]/(x^u - x^v) deciding the congruence."""
-        return _word_ring(self)
-
     def __str__(self):
         gens = " ".join(self.generators) or "-"
         rels = ", ".join(

@@ -14,6 +14,12 @@ to pair selection or reduction must re-pin it deliberately):
   order, kind "g" before "s", with i > j indexing the basis; the only
   pairs skipped are S-pairs with coprime leading monomials over fields
   and G-pairs whose leading coefficients divide one another;
+- groebner over a field also skips, when popped, an S-pair (i, j) for
+  which some other lm(g_k) divides the lcm while neither {i, k} nor
+  {j, k} is still queued (Buchberger's chain criterion).  The reduced
+  basis is unique, so its output is that of groebner_with_cofactors,
+  which takes every pair; cofactors and everything over Z keep the path
+  above;
 - over fields the first basis element whose leading monomial divides the
   current term is the reductor;
 - over Z an element whose leading coefficient divides the current one
@@ -551,6 +557,8 @@ def groebner_with_cofactors(gens: list[Poly], order: MonomialOrder, dom,
     cofs: list[list[Poly]] = []
     pairs: list = []  # heap of (order key of lcm, kind, i, j) with i > j
     lcm_keys: dict = {}  # the heap holds O(len(basis)^2) keys, many of them equal
+    chain = dom.is_field and not track  # Buchberger's second criterion applies
+    pending: set = set()  # (i, j) of the S-pairs still in the heap, when chain
 
     def join(g, row):
         gn, scale = _normalize_gen(g, order, dom)
@@ -566,6 +574,8 @@ def groebner_with_cofactors(gens: list[Poly], order: MonomialOrder, dom,
             key = order.key(exp_lcm(ek, ej))
             key = lcm_keys.setdefault(key, key)  # one tuple per distinct lcm
             heappush(pairs, (key, "s", k, j))
+            if chain:
+                pending.add((k, j))
             if not dom.is_field and ck % cj and cj % ck:  # else gpoly is None
                 heappush(pairs, (key, "g", k, j))
 
@@ -575,6 +585,14 @@ def groebner_with_cofactors(gens: list[Poly], order: MonomialOrder, dom,
             join(g, [one if j == i else poly_zero() for j in range(len(gens))])
     while pairs:
         _, kind, i, j = heappop(pairs)
+        if chain:
+            pending.remove((i, j))
+            el = exp_lcm(lts[i][0], lts[j][0])
+            if any(k != i and k != j and exp_divides(ek, el)
+                   and (max(i, k), min(i, k)) not in pending
+                   and (max(j, k), min(j, k)) not in pending
+                   for k, (ek, _) in enumerate(lts)):
+                continue  # {i,k} and {j,k} are done, so this S-pair reduces to 0
         if kind == "s":
             h = spoly(basis[i], basis[j], order, dom, lts[i], lts[j])
         else:

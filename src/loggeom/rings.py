@@ -601,38 +601,85 @@ def _poly_det(m: list[list[Poly]], ring: RingPresentation) -> Poly:
     return acc
 
 
-def fitting_ideal(m: ModulePresentation, k: int,
-                  order: MonomialOrder = DEGREVLEX) -> list[Poly]:
-    """Groebner-reduced k-th Fitting ideal (size n-k minors; (1) when k >= n)."""
+def _is_constant_unit(p: Poly, coeff: CoeffDomain) -> bool:
+    """Whether a reduced entry is a unit of the coefficient domain itself."""
+    if len(p) != 1:
+        return False
+    (e, c), = p.items()
+    if any(e):
+        return False
+    if coeff.is_field:
+        return True
+    if coeff.kind == "int":
+        return abs(c) == 1
+    allowed = prime_factors(coeff.param)
+    return all(q in allowed for q in prime_factors(Fraction(c).numerator))
+
+
+def prune(m: ModulePresentation) -> ModulePresentation:
+    """An isomorphic module with every constant-unit pivot eliminated.
+
+    While some relation entry is a unit of the coefficient domain, the
+    pivot's row clears its column, and that row and generator go (as
+    Macaulay2's prune does).  The result has the same Fitting ideals.
+    """
+    ring, car = m.ring, m.ring.carrier()
+    gens = list(m.gens)
+    rows = m.relation_matrix()
+    while True:
+        pivot = next(((r, c) for r, row in enumerate(rows) for c, p in enumerate(row)
+                      if _is_constant_unit(p, ring.coeff)), None)
+        if pivot is None:
+            break
+        r, c = pivot
+        prow = rows.pop(r)
+        u = prow[c][(0,) * ring.nvars]
+        inv = car.div(car.one(), u) if car.is_field else u  # u = +-1 over Z
+        for i, row in enumerate(rows):
+            if row[c]:
+                q = poly_scale(row[c], inv, car)
+                row = [ring.nf(poly_sub(p, ring.mul(q, pp), car)) if pp else p
+                       for p, pp in zip(row, prow)]
+            del row[c]
+            rows[i] = row
+        del gens[c]
+        rows = [row for row in rows if any(row)]
+    return m if len(gens) == m.ngens else ModulePresentation.make(ring, gens, rows)
+
+
+def _fitting_gens(m: ModulePresentation, k: int) -> list[Poly]:
+    """Generators of Fitt_k: the nonzero size n-k minors, or 1 when k >= n."""
     size = m.ngens - k
     if size <= 0:
-        return m.ring.extend_ideal([m.ring.one()]).working_basis(order)
-    minors = _minor_dets(m.relation_matrix(), size, m.ring)
-    minors = [p for p in minors if p]
-    return m.ring.extend_ideal(minors).working_basis(order)
+        return [m.ring.one()]
+    return [p for p in _minor_dets(m.relation_matrix(), size, m.ring) if p]
+
+
+def fitting_ideal(m: ModulePresentation, k: int,
+                  order: MonomialOrder = DEGREVLEX) -> list[Poly]:
+    """Groebner-reduced k-th Fitting ideal (size n-k minors; (1) when k >= n).
+
+    The minors are those of the pruned presentation.
+    """
+    return m.ring.extend_ideal(_fitting_gens(prune(m), k)).working_basis(order)
 
 
 def fitting_chain_equal(m1: ModulePresentation, m2: ModulePresentation) -> bool:
     """Whether all Fitting ideals agree (an isomorphism invariant)."""
     if m1.ring != m2.ring:
         raise ValueError("modules live over different presented rings")
-    top = max(m1.ngens, m2.ngens)
-    ring = m1.ring
-    for k in range(top + 1):
-        size1, size2 = m1.ngens - k, m2.ngens - k
-        a = [ring.one()] if size1 <= 0 else [p for p in _minor_dets(m1.relation_matrix(), size1, ring) if p]
-        b = [ring.one()] if size2 <= 0 else [p for p in _minor_dets(m2.relation_matrix(), size2, ring) if p]
-        if not ideal_equal(ring, a, b):
+    pruned = (prune(m1), prune(m2))
+    for k in range(max(m.ngens for m in pruned) + 1):
+        a, b = (_fitting_gens(m, k) for m in pruned)
+        if not ideal_equal(m1.ring, a, b):
             return False
     return True
 
 
 def is_zero_module(m: ModulePresentation) -> bool:
     """True iff the maximal-minor ideal is the unit ideal (module vanishes)."""
-    if m.ngens == 0:
-        return True
-    minors = [p for p in _minor_dets(m.relation_matrix(), m.ngens, m.ring) if p]
-    return m.ring.extend_ideal(minors).is_zero_ring()
+    m = prune(m)
+    return m.ngens == 0 or m.ring.extend_ideal(_fitting_gens(m, 0)).is_zero_ring()
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,43 @@ def test_gp_with_large_inverted_integer_is_fast(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["result"] == {"rank": 2, "torsion": []}
 
 
+TORIC = """
+monoid T {{ gens: a b c; rels: 1a+1b+0c = 0a+0b+2c; }}
+ring R {{ coeff: {coeff}; vars: x y z; ideal: x*y - z^2; }}
+prelog X {{ ring: R; monoid: T; alpha: a -> x, b -> y, c -> z; units: none; }}
+"""
+
+FOLD_N3 = """
+monoid N3 { gens: x0 x1 x2; rels: ; }
+monoid N1 { gens: y; rels: ; }
+ring Z { coeff: int; vars: ; ideal: ; }
+prelog D { ring: Z; monoid: N3; alpha: x0 -> 2, x1 -> 2, x2 -> 2; units: builtin; }
+prelog C { ring: Z; monoid: N1; alpha: y -> 2; units: builtin; }
+map F { from: D; to: C; ring: ; monoid: x0 -> 1y, x1 -> 1y, x2 -> 1y; }
+"""
+
+
+@pytest.mark.parametrize("src, command, target", [
+    (TORIC.format(coeff="rat"), "logdiag", "X"),
+    (TORIC.format(coeff="int"), "logdiag", "X"),
+    (TORIC.format(coeff="fp(3)"), "logdiag", "X"),
+    (FOLD_N3, "repab", "F"),
+    (FOLD_N3, "logdiag", "D"),
+])
+def test_fitting_payloads_of_large_presentations_are_fast(src, command, target):
+    # 15 x 14 (toric) and 10 x 10 (fold) presentations, nearly all unit pivots
+    start = time.perf_counter()
+    report = run_command(command, parse(src), target, {})
+    assert time.perf_counter() - start < 1.0
+    fitting = report["result"]["fitting"]
+    assert len(fitting) == len(report["result"]["module"]["generators"]) + 1
+    if target == "X":  # free of rank 2: Fitt_0 = Fitt_1 = 0, then (1)
+        ideal = report["result"]["module"]["ring"]["ideal"]
+        assert fitting[0] == fitting[1] == ideal and all(f == ["1"] for f in fitting[2:])
+    else:  # (Z/2)^3 plus a free part
+        assert fitting[:4] == [["8"], ["4"], ["2"], ["1"]]
+
+
 def _run_cli(args, cwd=None):
     return subprocess.run(
         [sys.executable, "-m", "loggeom.cli", *args],

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loggeom.polys import (
-    DEGREVLEX, LEX, QQ, ZZ, PrimeField, exp_divides, groebner_with_cofactors,
+    DEGREVLEX, LEX, QQ, ZZ, PrimeField, exp_divides, groebner, groebner_with_cofactors,
     leading_term, nf_with_cofactors, poly_add, poly_mul,
 )
 
@@ -161,3 +161,25 @@ def test_nf_with_cofactors_properties(dom, order_name, data):
         else:
             # D-reduction leaves a remainder smaller than every applicable lc
             assert all(abs(c) < abs(lc) for lc in lcs)
+
+
+# groebner skips S-pairs by Buchberger's chain criterion over fields, while
+# groebner_with_cofactors takes every pair; reduced bases are unique, so
+# the two must agree.
+@pytest.mark.parametrize("system", ["cyclic-4", "cyclic-5", "katsura-3", "katsura-4"])
+@pytest.mark.parametrize("dom", ["F", "Q"])
+def test_groebner_equals_tracked_basis(system, dom):
+    domain = DOMAINS[dom]
+    n = int(system[-1])
+    raw = cyclic(n) if system.startswith("cyclic") else katsura(n)
+    gens = [{e: domain.normalize(c) for e, c in g.items()} for g in raw]
+    assert groebner(gens, DEGREVLEX, domain) == groebner_with_cofactors(
+        gens, DEGREVLEX, domain)[0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["F", "Q"]), st.sampled_from(sorted(ORDERS)), st.data())
+def test_groebner_equals_tracked_basis_on_random_systems(dom, order_name, data):
+    domain, order = DOMAINS[dom], ORDERS[order_name]
+    gens = data.draw(st.lists(polys_in(domain), min_size=1, max_size=4))
+    assert groebner(gens, order, domain) == groebner_with_cofactors(gens, order, domain)[0]

@@ -11,7 +11,7 @@ from loggeom.rings import (
     INT, RAT, ModulePresentation, RingMap, RingPresentation, coefficient_map,
     fitting_chain_equal, fitting_ideal, fp, groebner_basis, hom_count,
     ideal_equal, identity_ring_map, int_inv, is_unit, is_zero_module,
-    kahler_differentials, module_base_change, poly_str, prime_factors, tensor_over,
+    kahler_differentials, module_base_change, poly_str, prime_factors, prune, tensor_over,
 )
 
 
@@ -129,6 +129,71 @@ def test_fitting_invariance_redundant_generator():
     padded.append([ku2.var("u"), ku2.one(), ku2.neg(ku2.one())])
     bigger = ModulePresentation.make(ku2, ["g", "h", "r"], padded)
     assert fitting_chain_equal(base, bigger)
+
+
+# (ring, constant units to plant); entries are drawn in the ring's one variable
+PRUNE_RINGS = {
+    "Z": (RingPresentation.make(INT, ["x"], []), [1, -1]),
+    "Q": (RingPresentation.make(RAT, ["x"], []), [Fraction(1), Fraction(-2, 3)]),
+    "GF(5)": (RingPresentation.make(fp(5), ["x"], []), [1, 3]),
+    "F3[x]/(x^3)": (RingPresentation.make(fp(3), ["x"], [{(3,): 1}]), [1, 2]),
+    "F2[x]/(x^2)": (RingPresentation.make(fp(2), ["x"], [{(2,): 1}]), [1]),
+    "Z[1/6]": (RingPresentation.make(int_inv(6), [], []), [Fraction(-3), Fraction(2, 3)]),
+}
+
+
+@st.composite
+def planted_presentations(draw):
+    ring, units = PRUNE_RINGS[draw(st.sampled_from(sorted(PRUNE_RINGS)))]
+    nrows, ngens = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+
+    def entry():
+        p = {}
+        for _ in range(draw(st.integers(0, 2))):
+            e = (draw(st.integers(0, 2)),) * ring.nvars
+            p[e] = p.get(e, 0) + draw(st.integers(-3, 3))
+        return {e: c for e, c in p.items() if c}
+
+    rows = [[entry() for _ in range(ngens)] for _ in range(nrows)]
+    for _ in range(draw(st.integers(1, 2))):  # at least one unit pivot
+        r, c = draw(st.integers(0, nrows - 1)), draw(st.integers(0, ngens - 1))
+        rows[r][c] = ring.const(draw(st.sampled_from(units)))
+    return ModulePresentation.make(ring, [f"g{j}" for j in range(ngens)], rows)
+
+
+def _unpruned_fitting(m, k):
+    size = m.ngens - k
+    minors = [m.ring.one()] if size <= 0 else \
+        [p for p in rings._minor_dets(m.relation_matrix(), size, m.ring) if p]
+    return m.ring.extend_ideal(minors).working_basis()
+
+
+@settings(max_examples=120, deadline=None)
+@given(planted_presentations())
+def test_pruned_fitting_ideals_equal_unpruned(m):
+    pruned = prune(m)
+    assert pruned.ngens < m.ngens
+    for k in range(m.ngens + 2):
+        assert fitting_ideal(m, k) == _unpruned_fitting(m, k), k
+    assert is_zero_module(m) == m.ring.extend_ideal(_unpruned_fitting(m, 0)).is_zero_ring()
+    assert fitting_chain_equal(m, pruned)
+
+
+def test_prune_examples():
+    z = RingPresentation.make(INT, [], [])
+    # Z^2 / (g + 2h, 3h): the unit pivot leaves Z / (3)
+    m = ModulePresentation.make(z, ["g", "h"], [[z.one(), z.const(2)], [z.zero(), z.const(3)]])
+    pruned = prune(m)
+    assert pruned.gens == ("h",)
+    assert [[poly_str(dict(p), []) for p in row] for row in pruned.relations] == [["3"]]
+    # 2 is no unit over Z, but it is over Z[1/6] and over Q
+    two = ModulePresentation.make(z, ["g"], [[z.const(2)]])
+    assert prune(two) is two
+    zh = RingPresentation.make(int_inv(6), [], [])
+    assert prune(ModulePresentation.make(zh, ["g"], [[zh.const(2)]])).ngens == 0
+    assert prune(ModulePresentation.make(zh, ["g"], [[zh.const(10)]])).ngens == 1
+    q = RingPresentation.make(RAT, [], [])
+    assert is_zero_module(ModulePresentation.make(q, ["g"], [[q.const(2)]]))
 
 
 def test_hom_count_examples():
