@@ -11,12 +11,15 @@ algebras.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
-from .logrings import PreLogMap, PreLogRing, is_strict
+from .logrings import PreLogMap, PreLogRing, check_enumeration, is_strict
 from .monoids import IncompleteComputation, Undetermined
 from .polys import LEX, Poly, freeze_poly, poly_derivative
 from . import polys
-from .rings import FiniteModule, ModulePresentation, RingMap, RingPresentation
+from .rings import (
+    FiniteModule, ModulePresentation, RingMap, RingPresentation, _echelon_mod_p,
+)
 
 
 @dataclass(frozen=True)
@@ -159,113 +162,64 @@ class LogDerivation:
 
 def log_derivations(x: PreLogRing, j: ModulePresentation,
                     base: PreLogMap | None = None) -> list[LogDerivation]:
-    """All log derivations of (A, M) into J, by exhaustive enumeration.
+    """All log derivations of (A, M) into J, as the kernel of one F_p system.
 
     Requires a finite prime-field algebra.  A derivation is a pair of a
     ring derivation D (Leibniz over the ideal) and an additive monoid map
     delta with D(alpha(m)) = alpha(m) delta(m); relative derivations also
-    kill the base.
+    kill the base.  Every condition is F_p-linear in the images, which are
+    canonical vectors of J.
     """
     a = x.ring
     if a.coeff.kind != "fp":
         raise Undetermined("derivation enumeration needs a finite prime-field algebra")
     fm = FiniteModule(j)
     car = a.carrier()
-    elements = [tuple(v) for v in fm.elements()]
-
-    def as_polys(vec):
-        out = []
-        for gi in range(fm.ngens):
-            p: Poly = {}
-            for bi, e in enumerate(fm.basis):
-                c = vec[gi * fm.dim_ring + bi]
-                if c:
-                    p[e] = c
-            out.append(p)
-        return out
-
-    def scale_add(acc, coeff_poly, vec):
-        # acc += coeff_poly * vec, componentwise over module generators
-        target = as_polys(vec)
-        for gi in range(fm.ngens):
-            prod = a.mul(coeff_poly, target[gi])
-            acc[gi] = a.add(acc[gi], prod)
-        return acc
-
-    def is_zero_vec(acc):
-        flat = fm.vector_of(acc)
-        return not any(flat)
-
+    nr, slots = a.nvars, a.nvars + x.monoid.ngens
+    # each condition lists (slot, coefficient) terms whose sum vanishes in J;
+    # slot i < nr holds D(x_i), slot nr + t holds delta(m_t)
+    conds = [[(i, poly_derivative(g, i, car)) for i in range(nr)] for g in a.ideal_polys()]
+    conds += [[(nr + t, a.const(c - d)) for t, (c, d) in enumerate(zip(u, v))]
+              for u, v in x.monoid.relations]
+    for t, alpha in enumerate(x.alpha):
+        conds.append([(i, poly_derivative(dict(alpha), i, car)) for i in range(nr)]
+                     + [(nr + t, a.neg(dict(alpha)))])
+    if base is not None:
+        r = base.domain.ring
+        for v in r.vars:
+            img = base.ring_map.apply(r.var(v))
+            conds.append([(i, poly_derivative(img, i, car)) for i in range(nr)])
+        conds += [[(nr + s, a.const(c)) for s, c in enumerate(word)]
+                  for word in base.monoid_map.images]
+    free = fm.free_coords()
+    width, p = len(free), fm.p  # unknowns per slot
+    rows = []
+    for cond in conds:
+        actions = [(slot, fm.scalar_action(coeff)[0]) for slot, coeff in cond if coeff]
+        for amb in range(fm.dim_free):
+            row = [0] * (slots * width)
+            for slot, cols in actions:
+                for fi in range(width):
+                    row[slot * width + fi] = cols[fi][amb]
+            rows.append(row)
+    reduced, pivots = _echelon_mod_p(rows, p)
+    unknown = sorted(set(range(slots * width)) - set(pivots))
+    check_enumeration(p, len(unknown), "derivations")
     found = []
-    ring_choices = _tuples(elements, a.nvars)
-    mono_choices = _tuples(elements, x.monoid.ngens)
-    for ring_imgs in ring_choices:
-        # Leibniz on ideal generators
-        ok = True
-        for g in a.ideal_polys():
-            acc = [a.zero() for _ in range(fm.ngens)]
-            for i in range(a.nvars):
-                acc = scale_add(acc, poly_derivative(g, i, car), ring_imgs[i])
-            if not is_zero_vec(acc):
-                ok = False
-                break
-        if ok and base is not None:
-            r = base.domain.ring
-            for t in range(r.nvars):
-                img = base.ring_map.apply(r.var(r.vars[t]))
-                acc = [a.zero() for _ in range(fm.ngens)]
-                for i in range(a.nvars):
-                    acc = scale_add(acc, poly_derivative(img, i, car), ring_imgs[i])
-                if not is_zero_vec(acc):
-                    ok = False
-                    break
-        if not ok:
-            continue
-        for mono_imgs in mono_choices:
-            good = True
-            for u, v in x.monoid.relations:
-                acc = [a.zero() for _ in range(fm.ngens)]
-                for t in range(x.monoid.ngens):
-                    c = u[t] - v[t]
-                    if c:
-                        acc = scale_add(acc, a.const(c), mono_imgs[t])
-                if not is_zero_vec(acc):
-                    good = False
-                    break
-            if good and base is not None:
-                for t in range(base.domain.monoid.ngens):
-                    word = base.monoid_map.images[t]
-                    acc = [a.zero() for _ in range(fm.ngens)]
-                    for s, c in enumerate(word):
-                        if c:
-                            acc = scale_add(acc, a.const(c), mono_imgs[s])
-                    if not is_zero_vec(acc):
-                        good = False
-                        break
-            if good:
-                for t in range(x.monoid.ngens):
-                    alpha = dict(x.alpha[t])
-                    acc = [a.zero() for _ in range(fm.ngens)]
-                    for i in range(a.nvars):
-                        acc = scale_add(acc, poly_derivative(alpha, i, car), ring_imgs[i])
-                    # subtract alpha(m) * delta(m)
-                    neg = [a.zero() for _ in range(fm.ngens)]
-                    neg = scale_add(neg, alpha, mono_imgs[t])
-                    for gi in range(fm.ngens):
-                        acc[gi] = a.sub(acc[gi], neg[gi])
-                    if not is_zero_vec(acc):
-                        good = False
-                        break
-            if good:
-                found.append(LogDerivation(tuple(ring_imgs), tuple(mono_imgs)))
+    for values in product(range(p), repeat=len(unknown)):
+        z = [0] * (slots * width)
+        for c, val in zip(unknown, values):
+            z[c] = val
+        for row, piv in zip(reduced, pivots):
+            z[piv] = -sum(row[c] * z[c] for c in unknown) % p
+        images = []
+        for slot in range(slots):
+            vec = [0] * fm.dim_free
+            for fi, amb in enumerate(free):
+                vec[amb] = z[slot * width + fi]
+            images.append(tuple(vec))
+        found.append(LogDerivation(tuple(images[:nr]), tuple(images[nr:])))
     return found
-
-
-def _tuples(pool, n):
-    out = [()]
-    for _ in range(n):
-        out = [t + (p,) for t in out for p in pool]
-    return out
 
 
 def classify_log_square_zero(f: PreLogMap, bound: int | None = None) -> str:

@@ -11,18 +11,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from . import monoids
-from .intlin import FgAbelianGroup
+from .intlin import FgAbelianGroup, quotient_group
 from .monoids import (
     IncompleteComputation, MonoidMap, MonoidPresentation, Undetermined,
     degree_bound, group_completion, monoid_map_is_isomorphism, pushout_monoid,
 )
 from .polys import Poly, freeze_poly
 from .rings import (
-    RingMap, RingPresentation, is_unit, monomial_basis, poly_str,
-    prime_factors,
+    FiniteAlgebra, RingMap, RingPresentation, is_unit, poly_str, prime_factors,
 )
+
+ENUMERATION_BOUND = 100000  # largest finite set listed element by element
+
+
+def check_enumeration(p: int, k: int, what: str) -> None:
+    if p ** k > ENUMERATION_BOUND:
+        raise IncompleteComputation(
+            f"{p}^{k} = {p ** k} {what} exceed the enumeration bound {ENUMERATION_BOUND}")
 
 
 @dataclass(frozen=True)
@@ -81,7 +89,12 @@ def make_units(ring: RingPresentation, group: FgAbelianGroup, embeds,
 
 
 def builtin_units(ring: RingPresentation) -> UnitGroupSpec:
-    """Unit groups of Z, Z[1/n], F_p, and finite F_p-algebras."""
+    """Unit groups of Z, Z[1/n], F_p, and finite F_p-algebras.
+
+    >>> from loggeom.rings import RingPresentation, fp
+    >>> builtin_units(RingPresentation.make(fp(2), ["u"], [{(4,): 1}])).group
+    FgAbelianGroup(rank=0, torsion=(2, 4))
+    """
     coeff = ring.coeff
     if coeff.kind == "int" and ring.nvars == 0 and not ring.ideal:
         return make_units(ring, FgAbelianGroup(0, (2,)), [ring.const(-1)], kind="int")
@@ -110,64 +123,63 @@ def _primitive_root(p: int) -> int:
 
 
 def _finite_algebra_units(ring: RingPresentation) -> UnitGroupSpec:
-    p = ring.coeff.param
-    basis = monomial_basis(ring)
-    if p ** len(basis) > 100000:
-        raise ValueError("finite algebra too large for unit enumeration")
-    elements = _algebra_elements(ring, basis)
-    one = freeze_poly(ring.nf(ring.one()))
-    units = [a for a in elements if _is_invertible_fast(ring, dict(a))]
-    # greedy maximal-order decomposition of the finite abelian group
-    span = {one}
+    alg = FiniteAlgebra(ring)
+    check_enumeration(alg.p, alg.dim, "algebra elements")
+    units = []
+    for x in product(range(alg.p), repeat=alg.dim):
+        # one test per line through the origin: c * x is a unit iff x is
+        if next((c for c in x if c), 0) == 1 and alg.is_unit(x):
+            units += [tuple(c * s % alg.p for c in x) for s in range(1, alg.p)]
+    units.sort(key=lambda x: freeze_poly(alg.poly(x)))
+    # greedy maximal-order walk: span maps each element to its exponents in
+    # the generators so far; rels records where each generator's power lands.
+    # An order modulo the span divides the one modulo any smaller span, so
+    # the last one computed bounds it.
+    span = {alg.one: ()}
     gens: list[tuple] = []
-    orders: list[int] = []
-    units_sorted = sorted(units)
+    rels: list[tuple] = []
+    bound: dict = {}
     while len(span) < len(units):
-        best, best_ord = None, 0
-        for a in units_sorted:
-            if a in span:
+        best, best_pows = None, ()
+        for a in units:
+            if a in span or bound.get(a, len(units)) < len(best_pows):
                 continue
-            k = 1
-            acc = dict(a)
-            while freeze_poly(ring.nf(acc)) not in span:
-                acc = ring.mul(acc, dict(a))
-                k += 1
-            if k > best_ord:
-                best, best_ord = a, k
+            m = alg.mult_matrix(a)
+            pows = [alg.one, a]
+            while pows[-1] not in span:
+                pows.append(alg.apply(m, pows[-1]))
+            bound[a] = len(pows) - 1
+            if len(pows) > len(best_pows):
+                best, best_pows = a, pows
+                if bound[a] == len(units) // len(span):  # generates the quotient
+                    break
+        k = len(best_pows) - 1
+        rels.append((span[best_pows[-1]], k))
         gens.append(best)
-        orders.append(best_ord)
-        new_span = set()
-        for s in span:
-            acc = dict(s)
-            for _ in range(best_ord):
-                new_span.add(freeze_poly(ring.nf(acc)))
-                acc = ring.mul(acc, dict(best))
+        m = alg.mult_matrix(best)
+        new_span = {}
+        for s, exps in span.items():
+            for i in range(k):
+                new_span[s] = exps + (i,)
+                s = alg.apply(m, s)
         span = new_span
-    gens.reverse()
-    orders.reverse()
-    keep = [(g, d) for g, d in zip(gens, orders) if d > 1]
-    group = FgAbelianGroup(0, tuple(d for _, d in keep))
-    return make_units(ring, group, [dict(g) for g, _ in keep], kind="finite")
-
-
-def _algebra_elements(ring: RingPresentation, basis):
-    p = ring.coeff.param
-    out = [{}]
-    for e in basis:
-        grown = []
-        for v in out:
-            for c in range(p):
-                w = dict(v)
-                if c:
-                    w[e] = c
-                grown.append(w)
-        out = grown
-    return [freeze_poly(ring.nf(v)) for v in out]
-
-
-def _is_invertible_fast(ring: RingPresentation, a: Poly) -> bool:
-    ok, _ = is_unit(a, ring)
-    return ok
+    n = len(gens)
+    if not any(any(r) for r, _ in rels):
+        # every power lands on 1: the generators split the group
+        group = FgAbelianGroup(0, tuple(k for _, k in reversed(rels)))
+        embeds = [alg.poly(g) for g in reversed(gens)]
+    else:
+        rows = [[-c for c in r] + [k] + [0] * (n - 1 - i) for i, (r, k) in enumerate(rels)]
+        group, _, section = quotient_group(n, rows)
+        embeds = []
+        for c in range(group.ngens):
+            x = alg.one
+            for g, row in zip(gens, section):
+                m = alg.mult_matrix(g)
+                for _ in range(row[c] % len(units)):
+                    x = alg.apply(m, x)
+            embeds.append(alg.poly(x))
+    return make_units(ring, group, embeds, kind="finite")
 
 
 def units_monoid(spec: UnitGroupSpec, ring: RingPresentation):
@@ -197,17 +209,6 @@ def units_monoid(spec: UnitGroupSpec, ring: RingPresentation):
         alpha.append(ring.nf(dict(spec.embeds[i])))
         alpha.append(ring.nf(dict(spec.inverses[i])))
     return pres, alpha
-
-
-def group_coords_word(coords, ngens: int):
-    """Exponent word over pair-generators for group coordinates."""
-    out = [0] * (2 * ngens)
-    for i, c in enumerate(coords):
-        if c >= 0:
-            out[2 * i] = c
-        else:
-            out[2 * i + 1] = -c
-    return tuple(out)
 
 
 def unit_group_log(spec: UnitGroupSpec, ring: RingPresentation, target: Poly):
@@ -242,18 +243,11 @@ def unit_group_log(spec: UnitGroupSpec, ring: RingPresentation, target: Poly):
             return None
         return tuple(coords)
     if spec.group.rank == 0:
-        for coords in _group_elements(spec.group):
+        for coords in spec.group.elements():
             if ring.elements_equal(spec.embed_element(ring, coords), target):
-                return tuple(coords)
+                return coords
         return None
     raise Undetermined("cannot solve discrete logs in an infinite declared group")
-
-
-def _group_elements(g: FgAbelianGroup):
-    coords = [()]
-    for d in g.torsion:
-        coords = [c + (r,) for c in coords for r in range(d)]
-    return [list(c) for c in coords]
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +442,7 @@ def _logify_pushout(x: PreLogRing, bound: int | None = None) -> Logification:
     spec = x.ensure_units()
     upres, ualpha = units_monoid(spec, x.ring)
     to_units = MonoidMap(up.submonoid, upres, tuple(
-        group_coords_word(c, spec.group.ngens) for c in up.unit_coords))
+        monoids._group_word(c, 0, 2 * spec.group.ngens) for c in up.unit_coords))
     glued, from_m, from_u = pushout_monoid(up.inclusion, to_units)
     alpha = [dict(x.alpha[j]) for j in range(x.monoid.ngens)] + list(ualpha)
     out = PreLogRing.make(x.ring, glued, alpha, spec)
@@ -466,7 +460,7 @@ def is_log(x: PreLogRing, bound: int | None = None) -> bool:
         raise Undetermined("unit pullback not certified; log condition undecided")
     upres, _ = units_monoid(spec, x.ring)
     to_units = MonoidMap(up.submonoid, upres, tuple(
-        group_coords_word(c, spec.group.ngens) for c in up.unit_coords))
+        monoids._group_word(c, 0, 2 * spec.group.ngens) for c in up.unit_coords))
     return monoid_map_is_isomorphism(to_units, bound=bound)
 
 

@@ -811,6 +811,60 @@ class FiniteModule:
         return cols, free  # column per free coordinate, in ambient coords
 
 
+class FiniteAlgebra:
+    """F_p-linear model of a finite-dimensional presented algebra.
+
+    Elements are coordinate tuples on ``monomial_basis``.  The normal form
+    of each product of two basis monomials is computed once, so a product
+    is a table lookup, and a unit is an element whose multiplication
+    matrix has full rank mod p.
+    """
+
+    def __init__(self, ring: RingPresentation):
+        if ring.coeff.kind != "fp":
+            raise ValueError("finite enumeration requires prime-field coefficients")
+        self.p = ring.coeff.param
+        self.basis = monomial_basis(ring)  # DEGREVLEX, the order of ring.nf below
+        self.dim = len(self.basis)
+        index = {e: i for i, e in enumerate(self.basis)}
+        normal: dict = {}  # exponent -> coordinates of its normal form
+
+        def coords(e) -> tuple[int, ...]:
+            if e not in normal:
+                vec = [0] * self.dim
+                for m, c in ring.nf({e: 1}).items():
+                    vec[index[m]] = c
+                normal[e] = tuple(vec)
+            return normal[e]
+
+        self.one = coords((0,) * ring.nvars)
+        # entry j is the multiplication matrix of basis monomial j, flattened
+        self.table = [sum((coords(polys.exp_add(a, b)) for b in self.basis), ())
+                      for a in self.basis]
+
+    def poly(self, x) -> Poly:
+        return {e: c for e, c in zip(self.basis, x) if c}
+
+    def _combine(self, coeffs, vecs, size: int) -> list[int]:
+        acc = [0] * size
+        for c, v in zip(coeffs, vecs):
+            if c:
+                acc = [s + c * t for s, t in zip(acc, v)]
+        return [s % self.p for s in acc]
+
+    def mult_matrix(self, x) -> list[list[int]]:
+        """Row i is x times basis monomial i."""
+        flat = self._combine(x, self.table, self.dim ** 2)
+        return [flat[i:i + self.dim] for i in range(0, self.dim ** 2, self.dim)]
+
+    def apply(self, m, y) -> tuple[int, ...]:
+        """x * y, for m the multiplication matrix of x."""
+        return tuple(self._combine(y, m, self.dim))
+
+    def is_unit(self, x) -> bool:
+        return len(_echelon_mod_p(self.mult_matrix(x), self.p)[0]) == self.dim
+
+
 def _echelon_mod_p(rows, p):
     rows = [list(r) for r in rows]
     out = []

@@ -275,3 +275,19 @@ prelog X { ring: Z; monoid: T; alpha: a -> 2, b -> 3; units: builtin; }
     s.write_text(src)
     res = _run_cli(["logify", f"{s}#X"])
     assert res.returncode == 2
+
+
+@pytest.mark.parametrize("ring, units, args", [
+    ("fp(2); vars: u; ideal: u^24", "builtin", ["logify"]),
+    ("fp(3); vars: u v; ideal: u^3, v^3", "none", ["derivations", "--module", "J"]),
+])
+def test_cli_enumeration_caps_exit_two(tmp_path, ring, units, args):
+    s = tmp_path / "cap.lg"
+    s.write_text(
+        "monoid Q { gens: m; rels: ; }\n"
+        f"ring A {{ coeff: {ring}; }}\n"
+        f"prelog X {{ ring: A; monoid: Q; alpha: m -> u; units: {units}; }}\n"
+        "module J { ring: A; gens: j; rels: ; }\n")
+    res = _run_cli([args[0], f"{s}#X", *args[1:]])
+    assert res.returncode == 2
+    assert "exceed the enumeration bound 100000" in res.stderr

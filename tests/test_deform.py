@@ -1,20 +1,25 @@
 """Square-zero data, log derivations, and the strictness classification."""
 
+from itertools import product
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loggeom.deform import (
-    SquareZeroExtensionData, classify_log_square_zero, is_square_zero_ring_ext,
-    log_derivations, split_square_zero,
+    LogDerivation, SquareZeroExtensionData, classify_log_square_zero, derivation_str,
+    is_square_zero_ring_ext, log_derivations, split_square_zero,
 )
 from loggeom.diffs import log_differentials
 from loggeom.logrings import (
     PreLogMap, PreLogRing, builtin_units, inverse_image, _finite_algebra_units,
 )
-from loggeom.monoids import MonoidMap, MonoidPresentation, identity_monoid_map
-from loggeom.polys import freeze_poly
+from loggeom.monoids import (
+    IncompleteComputation, MonoidMap, MonoidPresentation, identity_monoid_map,
+)
+from loggeom.polys import freeze_poly, poly_derivative
 from loggeom.rings import (
-    ModulePresentation, RAT, RingMap, RingPresentation, coefficient_map, fp,
-    hom_count, monomial_basis,
+    FiniteModule, ModulePresentation, RAT, RingMap, RingPresentation, coefficient_map,
+    fp, hom_count, monomial_basis,
 )
 
 
@@ -75,6 +80,100 @@ def test_derivation_correspondence_corpus():
     for x, j, base in corpus:
         ders = log_derivations(x, j, base=base)
         assert len(ders) == hom_count(log_differentials(x, base=base), j)
+
+
+def tuple_loop_derivations(x, j, base=None):
+    """Every tuple of elements of J as (D(x_i), delta(m_t)), kept if it passes
+    each condition; the enumeration the kernel solve replaced."""
+    a = x.ring
+    fm = FiniteModule(j)
+    car = a.carrier()
+
+    def vanishes(terms):
+        acc = [a.zero()] * fm.ngens
+        for coeff, vec in terms:
+            for gi in range(fm.ngens):
+                block = vec[gi * fm.dim_ring:(gi + 1) * fm.dim_ring]
+                comp = {e: c for e, c in zip(fm.basis, block) if c}
+                acc[gi] = a.add(acc[gi], a.mul(coeff, comp))
+        return not any(fm.vector_of(acc))
+
+    def d(f, ring_imgs):
+        return [(poly_derivative(f, i, car), ring_imgs[i]) for i in range(a.nvars)]
+
+    elements = [tuple(v) for v in fm.elements()]
+    killed = []
+    words = [tuple(s - t for s, t in zip(u, v)) for u, v in x.monoid.relations]
+    if base is not None:
+        r = base.domain.ring
+        killed = [base.ring_map.apply(r.var(v)) for v in r.vars]
+        words += list(base.monoid_map.images)
+    found = []
+    for ring_imgs in product(elements, repeat=a.nvars):
+        if not all(vanishes(d(g, ring_imgs)) for g in a.ideal_polys() + killed):
+            continue
+        for mono_imgs in product(elements, repeat=x.monoid.ngens):
+            if all(vanishes([(a.const(c), img) for c, img in zip(w, mono_imgs)])
+                   for w in words) and \
+               all(vanishes(d(dict(al), ring_imgs) + [(a.neg(dict(al)), mono_imgs[t])])
+                   for t, al in enumerate(x.alpha)):
+                found.append((ring_imgs, mono_imgs))
+    return found
+
+
+@st.composite
+def derivation_inputs(draw):
+    """A thickening F_p[u]/(u^k) with a log structure, a module and maybe a base."""
+    p, k = draw(st.sampled_from(((2, 1), (2, 2), (2, 3), (3, 1), (3, 2))))
+    a = RingPresentation.make(fp(p), ["u"], [{(k,): 1}])
+
+    def elem(nilpotent=False):
+        cs = [draw(st.integers(0, p - 1)) for _ in range(k)]
+        return {(i,): c for i, c in enumerate(cs) if c and (i or not nilpotent)}
+
+    ngens = draw(st.integers(1, 2))
+    alpha = [elem(nilpotent=True)] + [elem() for _ in range(ngens - 1)]
+    rels = ()
+    if ngens == 2 and draw(st.booleans()):
+        alpha[1] = alpha[0]
+        rels = (((1, 0), (0, 1)),)
+    x = PreLogRing.make(a, MonoidPresentation(("m", "n")[:ngens], rels), alpha)
+    shape = draw(st.sampled_from(("free", "cyclic", "two")))
+    if shape == "free":
+        j = ModulePresentation.make(a, ["j"], [])
+    elif shape == "cyclic":
+        j = ModulePresentation.make(a, ["j"], [[elem() or a.one()]])
+    else:
+        j = ModulePresentation.make(a, ["p", "q"], [[a.var("u"), elem()], [a.zero(), a.var("u")]])
+    base = None
+    if draw(st.booleans()):
+        k0 = RingPresentation.make(fp(p), [], [])
+        b = PreLogRing.make(k0, MonoidPresentation(("b",), ()), [k0.zero()])
+        word = (k,) + (0,) * (ngens - 1)
+        base = PreLogMap(b, x, coefficient_map(k0, a), MonoidMap(b.monoid, x.monoid, (word,)))
+    size = p ** FiniteModule(j).dim
+    if size ** (1 + ngens) > 5000:  # keep the tuple loop quick
+        j = ModulePresentation.make(a, ["j"], [[a.var("u")]])
+    return x, j, base
+
+
+@settings(max_examples=40, deadline=None)
+@given(derivation_inputs())
+def test_derivations_match_tuple_loop(case):
+    x, j, base = case
+    ders = log_derivations(x, j, base=base)
+    old = tuple_loop_derivations(x, j, base=base)
+    assert sorted(derivation_str(dv, x, j) for dv in ders) == \
+        sorted(derivation_str(LogDerivation(r, m), x, j) for r, m in old)
+    assert len(ders) == hom_count(log_differentials(x, base=base), j)
+
+
+def test_derivation_listing_cap_names_the_bound():
+    a = RingPresentation.make(fp(3), ["u", "v"], [{(3, 0): 1}, {(0, 3): 1}])
+    x = PreLogRing.make(a, MonoidPresentation(("m",), ()), [a.var("u")])
+    j = ModulePresentation.make(a, ["j"], [])
+    with pytest.raises(IncompleteComputation, match="3\\^18 = 387420489 derivations .* 100000"):
+        log_derivations(x, j)
 
 
 def test_units_of_split_square_zero_count():
