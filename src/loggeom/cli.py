@@ -17,12 +17,11 @@ from concurrent.futures import ThreadPoolExecutor
 from . import __version__
 from .deform import classify_log_square_zero, derivation_str, log_derivations
 from .diffs import log_diagonal, log_differentials, replete_abelianization, indecomposables
+from .errors import IncompleteComputation, Undetermined
 from .etale import adjoin_root, check_charted_log_etale, log_unramified_check
 from .language import ParseError, Workspace, parse, pretty
 from .logrings import logify
-from .monoids import (
-    IncompleteComputation, Undetermined, group_completion, is_exact, repletion,
-)
+from .monoids import group_completion, is_exact, repletion
 from .rings import ModulePresentation, fitting_ideal, poly_str, prune
 
 

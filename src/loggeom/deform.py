@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
+from .errors import IncompleteComputation, Undetermined
 from .logrings import PreLogMap, PreLogRing, check_enumeration, is_strict
-from .monoids import IncompleteComputation, Undetermined
 from .polys import LEX, Poly, freeze_poly, poly_derivative
 from . import polys
 from .rings import (

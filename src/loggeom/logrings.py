@@ -14,10 +14,11 @@ from fractions import Fraction
 from itertools import product
 
 from . import monoids
+from .errors import IncompleteComputation, Undetermined
 from .intlin import FgAbelianGroup, quotient_group
 from .monoids import (
-    IncompleteComputation, MonoidMap, MonoidPresentation, Undetermined,
-    degree_bound, group_completion, monoid_map_is_isomorphism, pushout_monoid,
+    MonoidMap, MonoidPresentation, group_completion, monoid_map_is_isomorphism,
+    pushout_monoid,
 )
 from .polys import Poly, freeze_poly
 from .rings import (
@@ -329,43 +330,25 @@ class UnitPullback:
     submonoid: MonoidPresentation
     inclusion: MonoidMap            # submonoid -> M
     unit_coords: tuple[tuple, ...]  # group coordinates per submonoid generator
-    certified: bool
 
 
-def unit_pullback(x: PreLogRing, bound: int | None = None) -> UnitPullback:
-    """Generators of the unit preimage submonoid alpha^{-1}(U).
+def unit_pullback(x: PreLogRing) -> UnitPullback:
+    """The unit preimage submonoid alpha^{-1}(U), exactly.
 
-    Certified when every generator maps to a unit or the nonunit images
-    generate a proper ideal and each relation stays on one side of the
-    split; otherwise a bounded search marked uncertified.
+    In a commutative ring a product is a unit iff every factor is (in the
+    zero ring everything is), so a monoid element lies in alpha^{-1}(U)
+    iff every generator in its support maps to a unit: the preimage is
+    the submonoid on S = {j : alpha(g_j) is a unit}.  alpha respects the
+    relations, so no relation has one side inside S and the other
+    outside, and the relations with both sides in S present it.
     """
     spec = x.ensure_units()
     if not spec.complete:
         raise ValueError("unit pullback requires an asserted-complete unit group")
     m = x.monoid
     ring = x.ring
-    unit_flags = []
-    for j in range(m.ngens):
-        ok, _ = is_unit(dict(x.alpha[j]), ring)
-        unit_flags.append(ok)
-    s_idx = [j for j in range(m.ngens) if unit_flags[j]]
+    s_idx = [j for j in range(m.ngens) if is_unit(dict(x.alpha[j]), ring)[0]]
     s_set = set(s_idx)
-    certified = True
-    if len(s_idx) < m.ngens:
-        # no word touching a nonunit generator can be a unit when the
-        # nonunit images generate a proper ideal
-        nonunit = [dict(x.alpha[j]) for j in range(m.ngens) if not unit_flags[j]]
-        if ring.extend_ideal(nonunit).is_zero_ring():
-            certified = False
-    for u, v in m.relations:
-        supp_u = {i for i, c in enumerate(u) if c}
-        supp_v = {i for i, c in enumerate(v) if c}
-        clean = supp_u <= s_set and supp_v <= s_set
-        external = not (supp_u <= s_set) and not (supp_v <= s_set)
-        if not (clean or external):
-            certified = False
-    if not certified:
-        return _unit_pullback_bounded(x, spec, degree_bound(bound))
     names = tuple(m.generators[j] for j in s_idx)
     rels = []
     for u, v in m.relations:
@@ -381,32 +364,7 @@ def unit_pullback(x: PreLogRing, bound: int | None = None) -> UnitPullback:
         if c is None:
             raise ValueError("alpha image is a unit outside the declared group")
         coords.append(tuple(c))
-    return UnitPullback(sub, incl, tuple(coords), True)
-
-
-def _unit_pullback_bounded(x: PreLogRing, spec, bound: int) -> UnitPullback:
-    m, ring = x.monoid, x.ring
-    found: list = []
-    for w in monoids._box_vectors(m.ngens, bound):
-        if not any(w):
-            continue
-        ok, _ = is_unit(x.alpha_of(w), ring)
-        if ok:
-            found.append(w)
-    atoms = [w for w in found
-             if not any(w2 != w and all(a >= b for a, b in zip(w, w2)) and
-                        tuple(a - b for a, b in zip(w, w2)) in found
-                        for w2 in found)]
-    names = tuple(f"s{i}" for i in range(len(atoms)))
-    sub = MonoidPresentation(names, ())
-    incl = MonoidMap(sub, m, tuple(atoms))
-    coords = []
-    for w in atoms:
-        c = unit_group_log(spec, ring, x.alpha_of(w))
-        if c is None:
-            raise ValueError("alpha image is a unit outside the declared group")
-        coords.append(tuple(c))
-    return UnitPullback(sub, incl, tuple(coords), False)
+    return UnitPullback(sub, incl, tuple(coords))
 
 
 @dataclass(frozen=True)
@@ -430,15 +388,12 @@ def logify(x: PreLogRing, bound: int | None = None) -> Logification:
         ident = identity_prelog_map(x.with_units(x.ensure_units()))
         return Logification(ident.codomain, ident,
                             tuple(range(x.monoid.ngens)), ())
-    return _logify_pushout(x, bound)
+    return _logify_pushout(x)
 
 
-def _logify_pushout(x: PreLogRing, bound: int | None = None) -> Logification:
+def _logify_pushout(x: PreLogRing) -> Logification:
     from .rings import identity_ring_map
-    up = unit_pullback(x, bound=bound)
-    if not up.certified:
-        raise IncompleteComputation(
-            "unit pullback is only bounded; logification refused")
+    up = unit_pullback(x)
     spec = x.ensure_units()
     upres, ualpha = units_monoid(spec, x.ring)
     to_units = MonoidMap(up.submonoid, upres, tuple(
@@ -455,9 +410,7 @@ def _logify_pushout(x: PreLogRing, bound: int | None = None) -> Logification:
 def is_log(x: PreLogRing, bound: int | None = None) -> bool:
     """The log condition: alpha^{-1}(U) -> U is an isomorphism."""
     spec = x.ensure_units()
-    up = unit_pullback(x, bound=bound)
-    if not up.certified:
-        raise Undetermined("unit pullback not certified; log condition undecided")
+    up = unit_pullback(x)
     upres, _ = units_monoid(spec, x.ring)
     to_units = MonoidMap(up.submonoid, upres, tuple(
         monoids._group_word(c, 0, 2 * spec.group.ngens) for c in up.unit_coords))
@@ -479,8 +432,8 @@ def is_strict(f: PreLogMap, bound: int | None = None) -> bool:
     """
     target_units = f.codomain.ensure_units()
     pulled = inverse_image(f.ring_map, f.domain, units=target_units)
-    log_src = _logify_pushout(pulled, bound=bound)
-    log_tgt = _logify_pushout(f.codomain.with_units(target_units), bound=bound)
+    log_src = _logify_pushout(pulled)
+    log_tgt = _logify_pushout(f.codomain.with_units(target_units))
     # canonical comparison map on the logified monoids: domain generators go
     # through f's monoid part, unit generators match up by construction
     src, tgt = log_src.prelog.monoid, log_tgt.prelog.monoid

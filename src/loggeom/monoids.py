@@ -23,6 +23,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from . import intlin, polys
+from .errors import IncompleteComputation, Undetermined
 from .intlin import AbGroupMap, FgAbelianGroup
 from .polys import LEX, QQ
 from .rings import RAT, RingPresentation, RingMap
@@ -36,14 +37,6 @@ def degree_bound(explicit: int | None = None) -> int:
         return explicit
     env = os.environ.get("LOGGEOM_BOUND")
     return int(env) if env else DEFAULT_BOUND
-
-
-class IncompleteComputation(Exception):
-    """A bounded search could not certify completeness."""
-
-
-class Undetermined(Exception):
-    """The question is not decided by the implemented procedures."""
 
 
 Vec = tuple[int, ...]

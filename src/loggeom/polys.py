@@ -33,6 +33,8 @@ from heapq import heappop, heappush
 from math import gcd
 import operator
 
+from .errors import IncompleteComputation
+
 
 Exp = tuple[int, ...]
 Poly = dict  # Exp -> coefficient
@@ -68,7 +70,7 @@ _MR_LIMIT = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; raises ValueError when n >= _MR_LIMIT passes."""
+    """Deterministic Miller-Rabin; raises IncompleteComputation when n >= _MR_LIMIT passes."""
     if n < 2:
         return False
     for q in _MR_BASES:
@@ -87,8 +89,8 @@ def is_prime(n: int) -> bool:
         else:
             return False
     if n >= _MR_LIMIT:
-        raise ValueError(f"cannot certify that {n} is prime (Miller-Rabin is "
-                         f"deterministic only below {_MR_LIMIT})")
+        raise IncompleteComputation(f"cannot certify that {n} is prime (Miller-Rabin is "
+                                    f"deterministic only below {_MR_LIMIT})")
     return True
 
 

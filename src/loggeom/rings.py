@@ -17,6 +17,7 @@ from itertools import combinations
 from math import gcd, lcm
 
 from . import polys
+from .errors import IncompleteComputation
 from .polys import (
     DEGREVLEX, LEX, MonomialOrder, Poly, QQ, ZZ, PrimeField,
     poly_add, poly_const, poly_derivative, poly_mul, poly_neg,
@@ -72,7 +73,7 @@ def _rho_factor(n: int) -> int:
             c += 1
         elif d != 1:
             return d
-    raise ValueError(f"no factor of {n} found in {_RHO_STEPS} Pollard rho steps")
+    raise IncompleteComputation(f"no factor of {n} found in {_RHO_STEPS} Pollard rho steps")
 
 
 @dataclass(frozen=True)

@@ -265,16 +265,37 @@ map DBL { from: A; to: B; ring: ; monoid: y -> 2x; }
     assert "virtually surjective" in res.stderr
 
 
-def test_cli_logify_uncertified_exits_two(tmp_path):
+def test_cli_logify_with_exact_unit_pullback(tmp_path):
+    # alpha hits zero divisors (x and 1 - x in F_3 x F_3, or 2 and 3 in Z)
+    # whose images generate the unit ideal; the unit preimage is still exact
     src = """
-monoid T { gens: a b; rels: ; }
+monoid T { gens: a b c; rels: ; }
+ring A { coeff: fp(3); vars: x; ideal: x^2 - x; }
+prelog X { ring: A; monoid: T; alpha: a -> x, b -> 1 - x, c -> 2; units: builtin; }
 ring Z { coeff: int; vars: ; ideal: ; }
-prelog X { ring: Z; monoid: T; alpha: a -> 2, b -> 3; units: builtin; }
+monoid P { gens: a b; rels: ; }
+prelog Y { ring: Z; monoid: P; alpha: a -> 2, b -> 3; units: builtin; }
 """
     s = tmp_path / "u2.lg"
     s.write_text(src)
+    for name in ("X", "Y"):
+        res = _run_cli(["logify", f"{s}#{name}"])
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)["result"]
+
+
+def test_cli_factoring_cap_exits_two(tmp_path):
+    # a product of two primes near 10^16: Pollard rho needs about 10^8
+    # steps to split it, far past its 2^20-step budget
+    n = 10000000000000061 * 10000000000000069
+    s = tmp_path / "rho.lg"
+    s.write_text(
+        "monoid M { gens: a; rels: ; }\n"
+        f"ring R {{ coeff: int_inv({n}); vars: ; ideal: ; }}\n"
+        "prelog X { ring: R; monoid: M; alpha: a -> 2; units: builtin; }\n")
     res = _run_cli(["logify", f"{s}#X"])
     assert res.returncode == 2
+    assert "1048576 Pollard rho steps" in res.stderr
 
 
 @pytest.mark.parametrize("ring, units, args", [

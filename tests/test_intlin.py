@@ -1,5 +1,7 @@
 """Integer linear algebra: Smith form, kernels, cokernels, pullbacks."""
 
+import hashlib
+import json
 import random
 from itertools import combinations
 from math import gcd
@@ -7,11 +9,12 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from loggeom import intlin
 from loggeom.intlin import (
     AbGroupMap, FgAbelianGroup, ZERO_GROUP, cokernel, determinant,
-    free_group, identity_map, invert_isomorphism, is_isomorphism, kernel,
+    free_group, identity, identity_map, invert_isomorphism, is_isomorphism, kernel,
     mat_eq, mat_mul, pullback_group, quotient_group, smith_normal_form,
-    zero_map,
+    snf_with_inverses, zero_map,
 )
 
 
@@ -47,24 +50,173 @@ def test_snf_examples(matrix, diag):
     assert mat_eq(mat_mul(mat_mul(u, matrix), v), d)
 
 
-@settings(max_examples=120, deadline=None)
-@given(st.integers(1, 6), st.integers(1, 6), st.data())
-def test_snf_verification(m, n, data):
-    a = [[data.draw(st.integers(-9, 9)) for _ in range(n)] for _ in range(m)]
-    u, d, v = smith_normal_form(a)
+def check_smith_form(a, u, d, v, u_inv, v_inv):
+    m, n = len(a), len(a[0])
     assert mat_eq(mat_mul(mat_mul(u, a), v), d)
-    assert abs(determinant(u)) == 1
-    assert abs(determinant(v)) == 1
+    assert mat_mul(u, u_inv) == identity(m)
+    assert mat_mul(v, v_inv) == identity(n)
     diag = [d[i][i] for i in range(min(m, n))]
     for x, y in zip(diag, diag[1:]):
         if x == 0:
             assert y == 0
         else:
-            assert y % x == 0
+            assert x > 0 and y % x == 0
     for i in range(m):
         for j in range(n):
             if i != j:
                 assert d[i][j] == 0
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 20), st.data())
+def test_snf_verification(m, n, bound, data):
+    a = [[data.draw(st.integers(-bound, bound)) for _ in range(n)] for _ in range(m)]
+    u, d, v, u_inv, v_inv = snf_with_inverses(a)
+    check_smith_form(a, u, d, v, u_inv, v_inv)
+    assert abs(determinant(u)) == 1
+    assert abs(determinant(v)) == 1
+
+
+def golden_matrices(rows, cols, bound):
+    rng = random.Random(f"intlin-golden-{rows}x{cols}-e{bound}")
+    return [[[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
+            for _ in range(8)]
+
+
+def golden_output(kind, a):
+    if kind == "snf":
+        return list(snf_with_inverses(a))
+    group, to_canonical, section = quotient_group(len(a[0]), a)
+    return [group.rank, list(group.torsion), to_canonical, section]
+
+
+def golden_digest(outputs) -> str:
+    return hashlib.sha256(json.dumps(outputs, separators=(",", ":")).encode()).hexdigest()
+
+
+GOLDEN_SHAPES = ((4, 4, 3), (5, 5, 5), (6, 6, 3), (7, 7, 2), (10, 10, 1), (4, 6, 5), (6, 4, 5),
+                 (5, 8, 3), (8, 4, 9), (3, 10, 9), (2, 12, 50), (8, 8, 3), (8, 5, 9))
+
+# Cases whose Euclid loop meets a quotient beyond 2**EUCLID_BITS (it does
+# not finish them in seconds); their transforms come from the reducing path.
+REDUCED = {("8x8-e3", "quotient", 0), ("8x8-e3", "snf", 3), ("8x8-e3", "quotient", 3)}
+
+# Outputs of every other case, computed by the Euclid loop before it had
+# a growth cap; any change here changes reports.
+GOLDEN = {
+    "4x4-e3/snf":
+        "df84a25c7bc20de873d7070b48eee364fc359dd0dd67fbcb5808597139f1cf39",
+    "4x4-e3/quotient":
+        "8b8cda319009e26f00880b35294e373241481dcf1e2e5bf890ba9a0222a99b16",
+    "5x5-e5/snf":
+        "2f8c5d999a24d7011b16949c27b7ef7b36a12bf79283cb2c08957a00c7fee69b",
+    "5x5-e5/quotient":
+        "dd5ae051407518f124e3d2c0d3d4344fb097329639a5ad3cf89abfc9d10e1486",
+    "6x6-e3/snf":
+        "d801c1a58cb867056540ff2a6530648e4ad08d5d011aa35be8ad543e0d86d313",
+    "6x6-e3/quotient":
+        "c38ac312c2e0a67893348719dcf24ec5e664844dc86482170cba77d5825aec93",
+    "7x7-e2/snf":
+        "c4e4c1caa50b76df57953971184853295375e62bcbca912c2ed113ce5d319b0f",
+    "7x7-e2/quotient":
+        "bd994e13ac6688eefddd59369dbf762a5d062167f9355b31650f55af260dbc71",
+    "10x10-e1/snf":
+        "da4f2bf0f15fc3b6b0a78d5407afaccf6c80aa48dbb4c46c424d4a8ea160ee60",
+    "10x10-e1/quotient":
+        "b28574f6542ea3d11bbc6468a654bdfbfac35725b5164a785160631cc165b8ba",
+    "4x6-e5/snf":
+        "151eb0ac84eac02c376d6d7c7f5724e4358642070d77b7d5c1d2c26dfd1eecbb",
+    "4x6-e5/quotient":
+        "e4857cfcc4722e16388e873544540367f03c49988ec3f870a48e730d0ccb38a5",
+    "6x4-e5/snf":
+        "445bb0c74d0bfb1a3c6c92894dd3e06896f393ab485b9e6f537cf0e87f4dce28",
+    "6x4-e5/quotient":
+        "eb59b29f6381171de0f239d37709f31218dcf91909b2d75b056f1c6c2f888a1c",
+    "5x8-e3/snf":
+        "9f34a92cf7820171b73052e2c47573286b63c3bbf8ec84b167bae2f3e009884d",
+    "5x8-e3/quotient":
+        "f5bb18482a7346cd7bea1a55cf3b6b58e6ad6af0b0fdecdd2a2d2f834f1793d0",
+    "8x4-e9/snf":
+        "0f90bd12cfec298b5661df691c6a8e60244cf93e68db2f0ab725e8802e3754a8",
+    "8x4-e9/quotient":
+        "a4731f4cd4712f3562b80c7a4137848b4ffad8153ee209ec7197df28ca4d3790",
+    "3x10-e9/snf":
+        "5fbbd4bd64ad7aa17f0cb8a454edf6b911415f3182fd94f1c2f66b8edadab23d",
+    "3x10-e9/quotient":
+        "d175ce31b004798de83cd191596921f8accc1cf5fb5c1372c5ae941ab8cb93bb",
+    "2x12-e50/snf":
+        "665d2ca5422cb3a81374134e406364a4507b2e71d3338e3f936bb9867e30cd67",
+    "2x12-e50/quotient":
+        "66ace7aff68daa55fa3caaddf5e2d3e01bfdfee02e6165cdc7aa97459066e05b",
+    "8x8-e3/snf":
+        "7270c5151d71c8885fb08a7ab71559a293a60b7d245f1e9bef8507024d95f156",
+    "8x8-e3/quotient":
+        "7313ac04f9d63449598205d1a9f0adf8820b5116e660310d837c307ef809ddf5",
+    "8x5-e9/snf":
+        "662ee1445e457e5a7cb2cffdd3f496cb5fe0bb79f2c9c5103daa5b0219dbbf5a",
+    "8x5-e9/quotient":
+        "d144195372e59fc6bbf62978e9ca23423821216347ecbf88037942a73a5c0904",
+}
+
+# Outputs of the REDUCED cases, pinned so that a change to the reducing
+# elimination is deliberate.
+GOLDEN_REDUCED = {
+    "8x8-e3/snf":
+        "231a8ff96e93356f9d628932baece44f2116f4fe8f29a82755126f4927dee8cb",
+    "8x8-e3/quotient":
+        "0f7566966b948f8d6c7e7e787c155bd1005744bf6340d7e937238013d5b42bd4",
+}
+
+
+@pytest.fixture
+def restarts(monkeypatch):
+    """Pivot positions at which snf_with_inverses ran the reducing path."""
+    seen = []
+    reducing_clear = intlin._reducing_clear
+    monkeypatch.setattr(intlin, "_reducing_clear",
+                        lambda st, t: seen.append(t) or reducing_clear(st, t))
+    return seen
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_snf_golden(case, restarts):
+    family, kind = case.split("/")
+    shape = next(s for s in GOLDEN_SHAPES if f"{s[0]}x{s[1]}-e{s[2]}" == family)
+    mats = golden_matrices(*shape)
+    euclid = [golden_output(kind, a) for k, a in enumerate(mats)
+              if (family, kind, k) not in REDUCED]
+    assert not restarts
+    assert golden_digest(euclid) == GOLDEN[case]
+    reduced = [golden_output(kind, a) for k, a in enumerate(mats)
+               if (family, kind, k) in REDUCED]
+    if reduced:
+        assert restarts
+        assert golden_digest(reduced) == GOLDEN_REDUCED[case]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 20), st.data())
+def test_invariant_factors_match_sympy(m, n, bound, data):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+    a = [[data.draw(st.integers(-bound, bound)) for _ in range(n)] for _ in range(m)]
+    _, d, _, _, _ = snf_with_inverses(a)
+    expected = invariant_factors(sympy.Matrix(a), domain=sympy.ZZ)
+    assert tuple(d[i][i] for i in range(min(m, n))) == tuple(abs(int(x)) for x in expected)
+
+
+def test_reducing_path_keeps_transforms_small(restarts):
+    # Unchecked, the Euclid loop reaches 41,332-bit entries on this matrix
+    # within nine passes; it restarts instead.  The reducing path keeps every
+    # transform entry within 2^11 bits (960 today); the largest invariant
+    # factor has 100 bits.
+    rng = random.Random(20)
+    a = [[rng.randint(-20, 20) for _ in range(20)] for _ in range(20)]
+    u, d, v, u_inv, v_inv = snf_with_inverses(a)
+    assert restarts
+    check_smith_form(a, u, d, v, u_inv, v_inv)
+    assert d[19][19].bit_length() == 100
+    assert max(abs(x).bit_length() for t in (u, v, u_inv, v_inv) for row in t for x in row) <= 1 << 11
 
 
 @settings(max_examples=60, deadline=None)

@@ -28,6 +28,13 @@ F3 = RingPresentation.make(fp(3), [], [])
 PI = MonoidPresentation(("pi",), ())
 
 
+F3_IDEMPOTENTS = """
+monoid T { gens: a b c; rels: ; }
+ring A { coeff: fp(3); vars: x; ideal: x^2 - x; }
+prelog X { ring: A; monoid: T; alpha: a -> x, b -> 1 - x, c -> 2; units: builtin; }
+"""
+
+
 def std_log_point(field_ring):
     return PreLogRing.make(field_ring, PI, [field_ring.zero()])
 
@@ -35,10 +42,10 @@ def std_log_point(field_ring):
 def test_unit_pullback_examples():
     x1 = PreLogRing.make(Z, FREE_RANK_1, [Z.const(1)])
     up = unit_pullback(x1)
-    assert up.certified and up.submonoid.generators == ("x",)
+    assert up.submonoid.generators == ("x",)
     x3 = PreLogRing.make(Z, FREE_RANK_1, [Z.const(3)])
     up3 = unit_pullback(x3)
-    assert up3.certified and up3.submonoid.ngens == 0
+    assert up3.submonoid.ngens == 0
     pt = std_log_point(F3)
     assert unit_pullback(pt).submonoid.ngens == 0
 
@@ -322,20 +329,27 @@ def test_rationals_have_no_builtin_units():
         builtin_units(q)
 
 
-def test_uncertified_pullback_refuses_logification():
-    # alpha sends generators to 2 and 3: neither is a unit of Z but the
-    # two images generate the unit ideal, so the chart-shape certificate
-    # does not apply and only a bounded search is available
-    from loggeom.monoids import IncompleteComputation, Undetermined
+def test_unit_pullback_is_exact():
+    # alpha sends generators to 2 and 3: neither is a unit of Z, though the
+    # two images generate the unit ideal; no word in them is a unit, so the
+    # unit preimage is the trivial submonoid
     two_gens = MonoidPresentation(("a", "b"), ())
     x = PreLogRing.make(Z, two_gens, [Z.const(2), Z.const(3)], builtin_units(Z))
     up = unit_pullback(x)
-    assert not up.certified
-    assert up.submonoid.ngens == 0
-    with pytest.raises(Undetermined):
-        is_log(x)
-    with pytest.raises(IncompleteComputation):
-        logify(x)
+    assert up.submonoid.ngens == 0 and up.submonoid.relations == ()
+    assert not is_log(x)
+    logi = logify(x)
+    assert is_log(logi.prelog)
+    assert group_completion(logi.prelog.monoid).group == FgAbelianGroup(2, (2,))
+    # F_3[x]/(x^2 - x) = F_3 x F_3: x and 1 - x are zero divisors whose
+    # images generate the unit ideal, and 2 is a unit of order 2
+    ws = parse(F3_IDEMPOTENTS)
+    y = ws.get("X")
+    up = unit_pullback(y)
+    assert up.submonoid.generators == ("c",) and up.submonoid.relations == ()
+    assert up.inclusion.images == ((0, 0, 1),)
+    assert not is_log(y)
+    assert is_log(logify(y).prelog)
 
 
 def test_bounded_iso_path_on_non_integral_monoids():
